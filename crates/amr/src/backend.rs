@@ -106,20 +106,6 @@ pub trait OctreeBackend {
         keys.iter().map(|&k| self.get_data(k)).collect()
     }
 
-    /// Batched [`OctreeBackend::refine`]: one success flag per key, in
-    /// input order. Backends with concurrent write domains (PM-octree)
-    /// override this to run the batch domain-parallel; the default keeps
-    /// the trait drop-in by looping the per-key entry point.
-    fn refine_many(&mut self, keys: &[OctKey]) -> Vec<bool> {
-        keys.iter().map(|&k| self.refine(k).is_ok()).collect()
-    }
-
-    /// Batched [`OctreeBackend::coarsen`]; see
-    /// [`OctreeBackend::refine_many`] for the contract.
-    fn coarsen_many(&mut self, keys: &[OctKey]) -> Vec<bool> {
-        keys.iter().map(|&k| self.coarsen(k).is_ok()).collect()
-    }
-
     /// Neighbor-resolution kernel: resolve the face (6) or full (26)
     /// same-level neighborhood of every source leaf in one batched query.
     /// Returns, per source, the distinct containing leaves of its neighbor
@@ -208,12 +194,6 @@ impl<T: OctreeBackend + ?Sized> OctreeBackend for &mut T {
     fn get_data_many(&mut self, keys: &[OctKey]) -> Vec<Option<Cell>> {
         (**self).get_data_many(keys)
     }
-    fn refine_many(&mut self, keys: &[OctKey]) -> Vec<bool> {
-        (**self).refine_many(keys)
-    }
-    fn coarsen_many(&mut self, keys: &[OctKey]) -> Vec<bool> {
-        (**self).coarsen_many(keys)
-    }
     fn neighbor_leaves_many(&mut self, sources: &[OctKey], full: bool) -> Vec<Vec<OctKey>> {
         (**self).neighbor_leaves_many(sources, full)
     }
@@ -284,14 +264,6 @@ impl OctreeBackend for PmBackend {
 
     fn coarsen(&mut self, key: OctKey) -> Result<(), PmError> {
         self.tree.coarsen(key)
-    }
-
-    fn refine_many(&mut self, keys: &[OctKey]) -> Vec<bool> {
-        self.tree.refine_many(keys)
-    }
-
-    fn coarsen_many(&mut self, keys: &[OctKey]) -> Vec<bool> {
-        self.tree.coarsen_many(keys)
     }
 
     fn is_leaf(&mut self, key: OctKey) -> Option<bool> {

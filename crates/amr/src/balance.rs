@@ -114,11 +114,8 @@ fn balance_worklist(b: &mut dyn OctreeBackend, mut worklist: Vec<OctKey>, full: 
         }
         targets.sort_unstable();
         targets.dedup();
-        // Violating coarse leaves are disjoint, so the whole round splits
-        // in one batched call (domain-parallel on backends that shard).
-        let ok = b.refine_many(&targets);
-        for (t, s) in targets.iter().zip(ok) {
-            if s {
+        for t in targets {
+            if b.refine(t).is_ok() {
                 total += 1;
                 next.extend(t.children());
             }
@@ -128,7 +125,7 @@ fn balance_worklist(b: &mut dyn OctreeBackend, mut worklist: Vec<OctKey>, full: 
     total
 }
 
-/// Restore face 2:1 after a *batch* of refinements: seed the worklist
+/// Restore face 2:1 after a set of refinements: seed the worklist
 /// with only the new fine leaves (the children of `refined`) instead of
 /// re-snapshotting the whole leaf set. Splitting a leaf can only create
 /// violations observable from its own children, so this reaches the same

@@ -42,12 +42,12 @@ pub struct AdaptReport {
 /// (below the cap), then coarsen every family whose 8 children all vote
 /// [`Target::Coarsen`] and whose merge is 2:1-legal.
 ///
-/// Both phases run through the backend's batched mutators
-/// ([`OctreeBackend::refine_many`] / [`OctreeBackend::coarsen_many`]), so
-/// a sharded backend adapts its voted cells domain-parallel. The mesh is
-/// the same as the former one-key-at-a-time pass: the 2:1 closure of a
-/// refinement set is unique, and same-level coarsen families are
-/// 2:1-independent of each other.
+/// Every voted leaf is split before one incremental balance sweep
+/// restores 2:1, and each level's legal coarsen families are chosen
+/// before any of them merges. The mesh is the same as a
+/// balance-after-every-split pass: the 2:1 closure of a refinement set is
+/// unique, and same-level coarsen families are 2:1-independent of each
+/// other.
 pub fn adapt(b: &mut dyn OctreeBackend, criterion: &dyn AdaptCriterion) -> AdaptReport {
     let mut report = AdaptReport::default();
     // --- refinement phase ---
@@ -58,11 +58,9 @@ pub fn adapt(b: &mut dyn OctreeBackend, criterion: &dyn AdaptCriterion) -> Adapt
         }
     });
     to_refine.sort_unstable();
-    // One batched split of every voted leaf, then one incremental balance
-    // sweep seeded from the new fine leaves to restore 2:1.
-    let ok = b.refine_many(&to_refine);
-    let refined: Vec<OctKey> =
-        to_refine.iter().zip(&ok).filter(|&(_, &s)| s).map(|(&k, _)| k).collect();
+    // Split every voted leaf, then one incremental balance sweep seeded
+    // from the new fine leaves restores 2:1.
+    let refined: Vec<OctKey> = to_refine.into_iter().filter(|&k| b.refine(k).is_ok()).collect();
     report.refined += refined.len();
     balance_from(b, &refined);
     // --- coarsening phase ---
@@ -79,7 +77,7 @@ pub fn adapt(b: &mut dyn OctreeBackend, criterion: &dyn AdaptCriterion) -> Adapt
     // Deepest first, so nested coarsening cascades within one pass.
     // Families at one level cannot affect each other's 2:1 legality
     // (coarsening only makes regions shallower), so each level's legal
-    // set merges as one batch.
+    // set is chosen before any of it merges.
     parents.sort_by(|a, b| b.level().cmp(&a.level()).then(a.cmp(b)));
     let mut i = 0;
     while i < parents.len() {
@@ -91,7 +89,7 @@ pub fn adapt(b: &mut dyn OctreeBackend, criterion: &dyn AdaptCriterion) -> Adapt
             }
             i += 1;
         }
-        report.coarsened += b.coarsen_many(&batch).into_iter().filter(|&s| s).count();
+        report.coarsened += batch.into_iter().filter(|&p| b.coarsen(p).is_ok()).count();
     }
     report
 }
@@ -232,5 +230,38 @@ mod tests {
         });
         assert_eq!(at_interface, 4);
         assert!(far < 4);
+    }
+
+    #[test]
+    fn adapt_on_pm_seeds_c0_like_per_op_refine() {
+        use crate::backend::PmBackend;
+        use pm_octree::{PmConfig, PmOctree};
+        use pmoctree_nvbm::{DeviceModel, NvbmArena};
+
+        // Default config: refinements at eligible levels seed DRAM (C0)
+        // subtrees. adapt mutates through per-op refine, so it must seed
+        // them too, and still produce the in-core backend's mesh.
+        let cfg = PmConfig::default();
+        assert!(cfg.seed_c0);
+        let arena = NvbmArena::new(16 << 20, DeviceModel::default());
+        let mut pm = PmBackend::new(PmOctree::create(arena, cfg));
+        let mut ic = InCoreBackend::new();
+        let crit = BandCriterion { width: 1.0, max_level: 4 };
+        let set_phi = |b: &mut dyn OctreeBackend| {
+            b.update_leaves(&mut |k: OctKey, d: &Cell| {
+                let mut nd = *d;
+                nd[0] = k.center()[0] - 0.3;
+                Some(nd)
+            });
+        };
+        for _ in 0..3 {
+            set_phi(&mut pm);
+            set_phi(&mut ic);
+            assert_eq!(adapt(&mut pm, &crit), adapt(&mut ic, &crit));
+        }
+        assert!(pm.tree.depth() >= 3, "the band must refine past the root");
+        assert!(pm.tree.c0_octants() > 0, "adapt on PM must seed C0 subtrees");
+        assert_eq!(pm.leaf_keys_sorted(), ic.leaf_keys_sorted());
+        assert!(check_balance(&mut pm).is_none());
     }
 }

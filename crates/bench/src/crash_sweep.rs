@@ -111,11 +111,6 @@ pub struct Violation {
 pub struct CrashSweep {
     /// Total crash opportunities the workload had.
     pub opportunities: u64,
-    /// Of those, per-thread interleaving opportunities: crash points at
-    /// write-domain publication boundaries, where the oracle sees the
-    /// base image plus a deterministic prefix of the domain overlays
-    /// (one thread-choice schedule per prefix).
-    pub interleavings: u64,
     /// Occurrence count per failpoint label (protocol coverage).
     pub label_counts: Vec<(String, u64)>,
     /// One row per crash mode.
@@ -367,32 +362,21 @@ pub fn crash_sweep(cfg: &CrashSweepConfig) -> CrashSweep {
     })));
 
     // The droplet sweeps across the domain; every step updates the level
-    // set on all leaves, adapts the band, and persists. The sweeps run
-    // through the batched (domain-parallel) mutators, so the per-thread
-    // interleaving schedules at each domain-publication boundary are part
-    // of the opportunity space the oracle checks.
+    // set on all leaves, adapts the band, and persists.
     for s in 0..cfg.steps {
         let tt = (s + 1) as f64 / cfg.steps as f64;
         let center = [0.25 + 0.5 * tt, 0.5, 0.5];
         let radius = 0.25;
-        let writes: Vec<(OctKey, CellData)> = t
-            .leaf_keys_sorted()
-            .into_iter()
-            .map(|k| {
-                let phi = signed_distance(k, center, radius);
-                (k, CellData { phi, pressure: s as f64, ..Default::default() })
-            })
-            .collect();
-        let _ = t.set_data_many(&writes);
+        for k in t.leaf_keys_sorted() {
+            let phi = signed_distance(k, center, radius);
+            let _ = t.set_data(k, CellData { phi, pressure: s as f64, ..Default::default() });
+        }
         // Refine the interface band; coarsen families that left it.
-        let band: Vec<OctKey> = t
-            .leaf_keys_sorted()
-            .into_iter()
-            .filter(|k| {
-                signed_distance(*k, center, radius).abs() < k.extent() && k.level() < cfg.max_level
-            })
-            .collect();
-        let _ = t.refine_many(&band);
+        for k in t.leaf_keys_sorted() {
+            if signed_distance(k, center, radius).abs() < k.extent() && k.level() < cfg.max_level {
+                let _ = t.refine(k);
+            }
+        }
         let mut parents: Vec<OctKey> = t
             .leaf_keys_sorted()
             .into_iter()
@@ -403,7 +387,9 @@ pub fn crash_sweep(cfg: &CrashSweepConfig) -> CrashSweep {
             .collect();
         parents.sort_unstable();
         parents.dedup();
-        let _ = t.coarsen_many(&parents);
+        for p in parents {
+            let _ = t.coarsen(p);
+        }
         // Persist under the oracle: while persist runs, a crash may
         // legally land on either the committed or the in-flight version.
         // The rt registry commits inside the same persist (combined
@@ -439,7 +425,6 @@ pub fn crash_sweep(cfg: &CrashSweepConfig) -> CrashSweep {
 
     let plan = t.store.arena.take_fail_plan().expect("plan installed");
     let opportunities = plan.opportunities();
-    let interleavings = plan.interleavings();
     let mut label_counts: BTreeMap<&'static str, u64> = BTreeMap::new();
     for (_, l) in plan.labels() {
         *label_counts.entry(l).or_insert(0) += 1;
@@ -449,7 +434,6 @@ pub fn crash_sweep(cfg: &CrashSweepConfig) -> CrashSweep {
     let st = st.into_inner().expect("stats lock");
     CrashSweep {
         opportunities,
-        interleavings,
         label_counts: label_counts.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
         rows: st.rows,
         violations: st.violations,
@@ -717,10 +701,6 @@ mod tests {
     fn smoke_sweep_is_clean_and_covers_the_protocol() {
         let sweep = crash_sweep(&CrashSweepConfig::smoke());
         assert!(sweep.opportunities > 100, "workload too small: {}", sweep.opportunities);
-        assert!(
-            sweep.interleavings > 0,
-            "domain-parallel sweeps must add interleaving crash opportunities"
-        );
         assert_eq!(sweep.total_violations(), 0, "violations: {:#?}", sweep.violations);
         for row in &sweep.rows {
             assert_eq!(row.checked, sweep.opportunities, "{}", row.mode);
@@ -742,7 +722,6 @@ mod tests {
             "heap::append",
             "heap::compact",
             "wear::relocate",
-            "sweep::interleave",
         ] {
             assert!(
                 sweep.label_counts.iter().any(|(l, n)| l == label && *n > 0),

@@ -12,12 +12,14 @@ use pmoctree_nvbm::TraversalStats;
 use serde::Serialize;
 
 /// Write an already-rendered JSON document to `BENCH_<experiment>.json`
-/// in the current directory. Errors are reported to stderr but never
-/// abort the run (the text tables remain the primary output).
+/// in the current directory. A failed write ends the process with
+/// status 1: a run that could not emit its document must not pass a
+/// gate that reads it.
 pub fn write_bench_json(experiment: &str, body: &str) {
     let path = format!("BENCH_{experiment}.json");
     if let Err(e) = std::fs::write(&path, format!("{body}\n")) {
-        eprintln!("warning: could not write {path}: {e}");
+        eprintln!("could not write {path}: {e}");
+        std::process::exit(1);
     }
 }
 
@@ -128,7 +130,6 @@ struct CrashSweepDoc {
     steps: usize,
     elements: usize,
     opportunities: u64,
-    interleavings: u64,
     total_violations: u64,
     labels: Vec<LabelCount>,
     rows: Vec<crate::crash_sweep::CrashModeRow>,
@@ -142,7 +143,6 @@ pub fn crash_sweep_json(sweep: &crate::crash_sweep::CrashSweep) -> String {
         steps: sweep.steps,
         elements: sweep.elements,
         opportunities: sweep.opportunities,
-        interleavings: sweep.interleavings,
         total_violations: sweep.total_violations(),
         labels: sweep
             .label_counts

@@ -83,64 +83,6 @@ fn pm_scheme_report_and_trace_identical_for_any_worker_count() {
     }
 }
 
-/// The concurrent-write-domain half of the invariant, exercised directly
-/// on one `PmOctree` rather than through the cluster driver: a batch
-/// mixing refines and coarsens across *adjacent* write domains and
-/// within a *single* domain must leave byte-identical media, leaves and
-/// memory statistics whether 1, 2 or 4 workers execute the domains.
-#[test]
-fn pm_batch_interleaving_matrix_identical_for_any_worker_count() {
-    use pm_octree::{CellData, DomainOp, PmConfig, PmOctree};
-    use pmoctree_morton::OctKey;
-    use pmoctree_nvbm::{DeviceModel, NvbmArena};
-
-    fn run() -> (Vec<u8>, Vec<(OctKey, CellData)>, String) {
-        let arena = NvbmArena::new(16 << 20, DeviceModel::default());
-        let mut t = PmOctree::create(arena, PmConfig::default());
-        t.refine(OctKey::root()).unwrap();
-        let children: Vec<OctKey> = (0..8).map(|i| OctKey::root().child(i)).collect();
-        assert!(t.refine_many(&children).iter().all(|&b| b));
-        // Adjacent domains in one batch: refine deep in domain 0 while
-        // domain 1 coarsens — the publication order of the two shards is
-        // the interleaving under test.
-        let adjacent = [
-            DomainOp::Refine(OctKey::root().child(0).child(0)),
-            DomainOp::Coarsen(OctKey::root().child(1)),
-        ];
-        assert_eq!(pm_octree::domains::run_batch(&mut t, &adjacent), vec![true, true]);
-        // Same domain: a refine and the coarsen that undoes it must
-        // execute in input order inside one shard.
-        let kk = OctKey::root().child(2).child(2);
-        t.refine_many(&[OctKey::root().child(2)]);
-        let same = [DomainOp::Refine(kk), DomainOp::Coarsen(kk)];
-        assert_eq!(pm_octree::domains::run_batch(&mut t, &same), vec![true, true]);
-        let writes: Vec<(OctKey, CellData)> = (0..8)
-            .map(|i| {
-                (
-                    OctKey::root().child(3).child(i),
-                    CellData { phi: i as f64 * 0.5 - 1.0, ..Default::default() },
-                )
-            })
-            .collect();
-        t.refine_many(&[OctKey::root().child(3)]);
-        assert!(t.set_data_many(&writes).iter().all(|&b| b));
-        t.persist();
-        let leaves = t.leaves_sorted();
-        let stats = format!("{:?}", t.store.arena.stats);
-        (t.store.arena.clone_media(), leaves, stats)
-    }
-
-    let w = Workers::pin(1);
-    let baseline = run();
-    for workers in [2, 4] {
-        w.set(workers);
-        let got = run();
-        assert_eq!(got.0, baseline.0, "media must be byte-identical under {workers} workers");
-        assert_eq!(got.1, baseline.1, "leaves must be identical under {workers} workers");
-        assert_eq!(got.2, baseline.2, "MemStats must be identical under {workers} workers");
-    }
-}
-
 /// The perf half of the invariant: with ≥ 4 cores, 4 workers must finish
 /// the same smoke run at least 2× faster than 1 worker. On smaller
 /// machines (e.g. 1-core CI containers) the comparison is meaningless —

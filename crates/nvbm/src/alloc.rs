@@ -200,42 +200,6 @@ impl PmemAllocator {
         a
     }
 
-    /// Carve a private bump region of `blocks × block_size` bytes off the
-    /// top of the shared bump pointer, for one concurrent write domain.
-    /// The whole region is charged to `live_bytes` up front; release the
-    /// unused tail with [`PmemAllocator::release_lease`] so the charge
-    /// nets out to exactly the blocks actually consumed. Returns `None`
-    /// when the region would cross the bump ceiling — callers fall back
-    /// to serial allocation.
-    ///
-    /// Leases never draw from the free lists: every lease region is a
-    /// fresh, pairwise-disjoint address range, which is what lets N
-    /// domains allocate COW copies concurrently without contending on —
-    /// or interleaving lines with — each other.
-    pub fn carve_lease(&mut self, blocks: usize, block_size: usize) -> Option<AllocLease> {
-        let cls = size_class(block_size.max(1));
-        let total = cls as u64 * blocks as u64;
-        if self.bump + total > self.limit {
-            return None;
-        }
-        let start = self.bump;
-        self.bump += total;
-        self.live_bytes += total;
-        Some(AllocLease { start, next: start, limit: start + total, block: cls })
-    }
-
-    /// Return a lease's unconsumed blocks (from `from` to the lease end)
-    /// to the free lists, reversing their up-front `live_bytes` charge.
-    /// Pass `lease.cursor()` to keep the consumed prefix, or
-    /// `lease.start()` to discard the whole region (failed domain).
-    pub fn release_lease(&mut self, lease: AllocLease, from: u64) {
-        let mut off = from.clamp(lease.start, lease.limit);
-        while off + lease.block as u64 <= lease.limit {
-            self.free(POffset(off), lease.block);
-            off += lease.block as u64;
-        }
-    }
-
     fn free_gap(free: &mut BTreeMap<usize, VecDeque<u64>>, mut lo: u64, hi: u64) {
         // Chop the gap into power-of-two-ish multiples of CACHELINE so the
         // chunks land in commonly requested classes. Simple scheme: walk in
@@ -249,52 +213,6 @@ impl PmemAllocator {
             free.entry(CACHELINE).or_default().push_back(lo);
             lo += CACHELINE as u64;
         }
-    }
-}
-
-/// A private bump region carved from a [`PmemAllocator`] for one
-/// concurrent write domain ([`PmemAllocator::carve_lease`]). Allocation
-/// is a plain cursor advance — no shared state, so it is safe to hand
-/// each worker thread its own lease and let them allocate concurrently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AllocLease {
-    start: u64,
-    next: u64,
-    limit: u64,
-    block: usize,
-}
-
-impl AllocLease {
-    /// Allocate one block from the lease; `None` when it is exhausted
-    /// (the domain over-ran its pre-sized budget — callers treat this
-    /// as device-full and fall back to serial allocation).
-    pub fn alloc(&mut self) -> Option<POffset> {
-        if self.next + self.block as u64 > self.limit {
-            return None;
-        }
-        let off = self.next;
-        self.next += self.block as u64;
-        Some(POffset(off))
-    }
-
-    /// First byte of the lease region.
-    pub fn start(&self) -> u64 {
-        self.start
-    }
-
-    /// Current cursor: the first unconsumed byte.
-    pub fn cursor(&self) -> u64 {
-        self.next
-    }
-
-    /// One past the last byte of the lease region.
-    pub fn end(&self) -> u64 {
-        self.limit
-    }
-
-    /// Block size (cacheline class) the lease hands out.
-    pub fn block_size(&self) -> usize {
-        self.block
     }
 }
 
@@ -435,43 +353,6 @@ mod tests {
         a.steer_cold(|_| 7);
         let tied: Vec<_> = (0..6).map(|_| a.alloc(128).unwrap()).collect();
         assert_eq!(tied, coldest_first, "tied wear keeps FIFO order");
-    }
-
-    #[test]
-    fn lease_regions_are_disjoint_and_accounted() {
-        let mut a = PmemAllocator::new(1 << 20);
-        let base = a.alloc(128).unwrap();
-        let mut l1 = a.carve_lease(4, 128).unwrap();
-        let l2 = a.carve_lease(4, 128).unwrap();
-        assert_eq!(a.live_bytes(), 128 + 2 * 4 * 128, "leases charged up front");
-        // Regions are disjoint from each other and from prior allocations.
-        assert!(l1.start() >= base.0 + 128);
-        assert_eq!(l2.start(), l1.end());
-        // Lease allocation is a cursor walk inside the region.
-        let p1 = l1.alloc().unwrap();
-        let p2 = l1.alloc().unwrap();
-        assert_eq!((p1.0, p2.0), (l1.start(), l1.start() + 128));
-        for _ in 0..2 {
-            assert!(l1.alloc().is_some());
-        }
-        assert!(l1.alloc().is_none(), "lease exhausts at its budget");
-        // Releasing the unused tail refunds the live-byte charge.
-        let consumed = l2.cursor();
-        a.release_lease(l1, l1.cursor()); // fully consumed: refunds nothing
-        a.release_lease(l2, consumed); // untouched: refunds all 4 blocks
-        assert_eq!(a.live_bytes(), 128 + 4 * 128);
-        // The refunded blocks are reusable.
-        let q = a.alloc(128).unwrap();
-        assert!(q.0 >= l2.start() && q.0 < l2.end());
-    }
-
-    #[test]
-    fn lease_respects_bump_limit() {
-        let mut a = PmemAllocator::new(HEADER_SIZE as usize + 512);
-        assert!(a.carve_lease(8, 128).is_none(), "lease must not cross the limit");
-        let l = a.carve_lease(4, 128).unwrap();
-        assert_eq!(l.end() - l.start(), 512);
-        assert!(a.alloc(64).is_none(), "lease consumed the remaining space");
     }
 
     #[test]

@@ -131,9 +131,7 @@ pub(crate) fn apply_crash(
 }
 
 /// Overlay the dirty cachelines in `cache` onto `buf`, which holds the
-/// media bytes at `[offset, offset + buf.len())`. Shared by the live
-/// arena's [`NvbmArena::read`], [`ArenaSnapshot::read_into`] and the
-/// per-domain [`ShardWriter`] overlay.
+/// media bytes at `[offset, offset + buf.len())` ([`NvbmArena::read`]).
 fn apply_overlay(cache: &BTreeMap<u64, [u8; CACHELINE]>, offset: u64, buf: &mut [u8]) {
     if buf.is_empty() {
         return;
@@ -640,48 +638,6 @@ impl NvbmArena {
         apply_crash(&mut self.media, &cache, mode, Some(&mut self.stats));
     }
 
-    // ---- domain-parallel shard support -----------------------------------
-
-    /// An immutable snapshot of the CPU-visible device state (persistent
-    /// media overlaid by a frozen copy of the dirty-line cache), taken at
-    /// a domain-parallel sweep's fork point. `Sync`: N worker threads read
-    /// through it concurrently while each buffers its own stores in a
-    /// [`ShardWriter`].
-    pub fn snapshot(&self) -> ArenaSnapshot<'_> {
-        ArenaSnapshot { media: &self.media, dirty: self.cache.clone(), model: self.model }
-    }
-
-    /// Absorb one write domain's buffered stores at the join point of a
-    /// domain-parallel sweep. Called serially in a fixed domain order
-    /// independent of the worker count, so the resulting cache, virtual
-    /// clock, stats and flight recorder are byte-identical for any number
-    /// of workers.
-    ///
-    /// The publication edge is recorded as a *per-thread interleaving*
-    /// crash opportunity before the merge: the dirty image handed to the
-    /// installed [`FailPlan`] is the current cache plus this delta — the
-    /// state a crash would leave had the scheduler absorbed exactly this
-    /// prefix of domains before dying. As with [`NvbmArena::failpoint`],
-    /// the label is first appended durably to the flight recorder.
-    pub fn absorb_shard(&mut self, label: &'static str, delta: ShardDelta) {
-        self.rec_mark(RecKind::Failpoint, label, delta.overlay.len() as u64);
-        if let Some(mut plan) = self.plan.take() {
-            let mut merged = self.cache.clone();
-            for (&line, data) in &delta.overlay {
-                merged.insert(line, *data);
-            }
-            plan.observe_interleave(Some(label), &self.media, &merged);
-            self.plan = Some(plan);
-        }
-        self.clock.advance(delta.clock_ns);
-        self.stats.nvbm_read(delta.read_bytes as usize, delta.read_lines);
-        self.stats.nvbm_write(delta.write_bytes as usize, delta.write_lines);
-        for (line, data) in delta.overlay {
-            self.cache.insert(line, data);
-        }
-        self.evict_over_cap();
-    }
-
     // ---- device header -------------------------------------------------
 
     /// An 8-byte header write, immediately flushed: the one place the
@@ -886,165 +842,6 @@ impl NvbmArena {
         self.rec_slots = rec_slots;
         self.rec_next_seq = recorder::recover(&self.media).last().map_or(1, |e| e.seq + 1);
         self.stats.set_region_bounds(rec_base, floor);
-    }
-}
-
-/// An immutable view of the device at a fork point: the persistent media
-/// plus a frozen copy of the dirty-line cache. Reads through it see
-/// exactly what [`NvbmArena::read`] saw at the moment of the snapshot,
-/// with no clock or stats side effects — per-domain [`ShardWriter`]s
-/// charge their own accounts and settle them at absorb time.
-pub struct ArenaSnapshot<'a> {
-    media: &'a [u8],
-    dirty: BTreeMap<u64, [u8; CACHELINE]>,
-    model: DeviceModel,
-}
-
-impl ArenaSnapshot<'_> {
-    /// Device capacity in bytes.
-    pub fn capacity(&self) -> usize {
-        self.media.len()
-    }
-
-    /// The timing model in force at snapshot time.
-    pub fn model(&self) -> &DeviceModel {
-        &self.model
-    }
-
-    /// Read `buf.len()` bytes at `offset`, observing the stores that were
-    /// un-flushed when the snapshot was taken.
-    pub fn read_into(&self, offset: u64, buf: &mut [u8]) {
-        assert!(
-            offset.checked_add(buf.len() as u64).is_some_and(|end| end <= self.media.len() as u64),
-            "NVBM snapshot access out of bounds: offset {offset} len {} capacity {}",
-            buf.len(),
-            self.media.len()
-        );
-        buf.copy_from_slice(&self.media[offset as usize..offset as usize + buf.len()]);
-        apply_overlay(&self.dirty, offset, buf);
-    }
-}
-
-/// One write domain's private device view during a domain-parallel sweep.
-///
-/// Reads fall through the writer's own overlay to the shared
-/// [`ArenaSnapshot`]; writes buffer into the overlay with the same
-/// read-modify-write cacheline discipline as [`NvbmArena::write`].
-/// Latency and access statistics accumulate locally and are charged to
-/// the device when the finished overlay is absorbed
-/// ([`NvbmArena::absorb_shard`]), which keeps the virtual clock and
-/// stats deterministic for any worker count. Buffered stores fire no
-/// crash opportunities — a shard is invisible until its publication
-/// edge, which is where [`NvbmArena::absorb_shard`] injects the
-/// per-thread interleaving opportunity.
-pub struct ShardWriter<'a> {
-    snap: &'a ArenaSnapshot<'a>,
-    overlay: BTreeMap<u64, [u8; CACHELINE]>,
-    clock_ns: u64,
-    read_bytes: u64,
-    read_lines: u64,
-    write_bytes: u64,
-    write_lines: u64,
-}
-
-impl<'a> ShardWriter<'a> {
-    /// A writer with an empty overlay over `snap`.
-    pub fn new(snap: &'a ArenaSnapshot<'a>) -> Self {
-        ShardWriter {
-            snap,
-            overlay: BTreeMap::new(),
-            clock_ns: 0,
-            read_bytes: 0,
-            read_lines: 0,
-            write_bytes: 0,
-            write_lines: 0,
-        }
-    }
-
-    /// Read `buf.len()` bytes at `offset`: the writer's own stores first,
-    /// then the snapshot underneath.
-    pub fn read(&mut self, offset: u64, buf: &mut [u8]) {
-        let lines = DeviceModel::lines(offset, buf.len());
-        self.clock_ns += lines * self.snap.model.nvbm.read_ns;
-        self.read_lines += lines;
-        self.read_bytes += buf.len() as u64;
-        self.snap.read_into(offset, buf);
-        apply_overlay(&self.overlay, offset, buf);
-    }
-
-    /// Buffer a store of `data` at `offset` into the overlay.
-    pub fn write(&mut self, offset: u64, data: &[u8]) {
-        assert!(
-            offset
-                .checked_add(data.len() as u64)
-                .is_some_and(|end| end <= self.snap.capacity() as u64),
-            "NVBM shard access out of bounds: offset {offset} len {} capacity {}",
-            data.len(),
-            self.snap.capacity()
-        );
-        if data.is_empty() {
-            return;
-        }
-        let lines = DeviceModel::lines(offset, data.len());
-        self.clock_ns += lines * self.snap.model.nvbm.write_ns;
-        self.write_lines += lines;
-        self.write_bytes += data.len() as u64;
-        let snap = self.snap;
-        let first = offset / CACHELINE as u64;
-        let last = (offset + data.len() as u64 - 1) / CACHELINE as u64;
-        for line in first..=last {
-            let line_start = line * CACHELINE as u64;
-            let entry = self.overlay.entry(line).or_insert_with(|| {
-                // Read-modify-write: seed the line from the snapshot view.
-                let mut l = [0u8; CACHELINE];
-                let s = line_start as usize;
-                let e = (s + CACHELINE).min(snap.capacity());
-                snap.read_into(line_start, &mut l[..e - s]);
-                l
-            });
-            let lo = line_start.max(offset);
-            let hi = (line_start + CACHELINE as u64).min(offset + data.len() as u64);
-            let src = (lo - offset) as usize..(hi - offset) as usize;
-            let dst = (lo - line_start) as usize..(hi - line_start) as usize;
-            entry[dst].copy_from_slice(&data[src]);
-        }
-    }
-
-    /// Number of dirty lines currently buffered.
-    pub fn dirty_lines(&self) -> usize {
-        self.overlay.len()
-    }
-
-    /// Freeze this writer into a delta for [`NvbmArena::absorb_shard`].
-    pub fn into_delta(self) -> ShardDelta {
-        ShardDelta {
-            overlay: self.overlay,
-            clock_ns: self.clock_ns,
-            read_bytes: self.read_bytes,
-            read_lines: self.read_lines,
-            write_bytes: self.write_bytes,
-            write_lines: self.write_lines,
-        }
-    }
-}
-
-/// The buffered effects of one write domain: produced by
-/// [`ShardWriter::into_delta`] on the worker side, consumed by
-/// [`NvbmArena::absorb_shard`] at the serial join point. Owns its data
-/// (no borrows), so it crosses thread boundaries freely.
-pub struct ShardDelta {
-    overlay: BTreeMap<u64, [u8; CACHELINE]>,
-    clock_ns: u64,
-    read_bytes: u64,
-    read_lines: u64,
-    write_bytes: u64,
-    write_lines: u64,
-}
-
-impl ShardDelta {
-    /// Number of dirty lines this delta merges into the device cache.
-    pub fn dirty_lines(&self) -> usize {
-        self.overlay.len()
     }
 }
 
@@ -1335,97 +1132,6 @@ mod tests {
         let mut tiny = NvbmArena::new(HEADER_SIZE as usize, DeviceModel::default());
         tiny.failpoint("persist::merge");
         assert_eq!(tiny.recorder_region(), (0, 0));
-    }
-
-    #[test]
-    fn shard_writer_buffers_and_absorb_merges() {
-        let mut a = arena();
-        a.write(4096, b"base"); // dirty, unflushed: the snapshot must see it
-        let t0 = a.clock.now_ns();
-        let delta = {
-            let snap = a.snapshot();
-            let mut w = ShardWriter::new(&snap);
-            let mut buf = [0u8; 4];
-            w.read(4096, &mut buf);
-            assert_eq!(&buf, b"base", "snapshot carries unflushed stores");
-            w.write(4096, b"EDIT");
-            w.read(4096, &mut buf);
-            assert_eq!(&buf, b"EDIT", "writer reads its own overlay");
-            assert_eq!(w.dirty_lines(), 1);
-            w.into_delta()
-        };
-        assert_eq!(a.clock.now_ns(), t0, "buffered shard work charges nothing yet");
-        assert_eq!(delta.dirty_lines(), 1);
-        let w_lines = a.stats.nvbm.write_lines;
-        a.absorb_shard("sweep::interleave", delta);
-        let mut buf = [0u8; 4];
-        a.read(4096, &mut buf);
-        assert_eq!(&buf, b"EDIT", "absorbed overlay lands in the cache");
-        // One shard read + one shard write, each a single line, plus the
-        // recorder append rec_mark makes: clock moved by at least the
-        // shard's own 100 + 150 ns.
-        assert!(a.clock.now_ns() - t0 >= 250, "shard latency settles at absorb");
-        assert!(a.stats.nvbm.write_lines > w_lines);
-        // The overlay was seeded RMW from the snapshot: bytes around the
-        // store survive a flush intact.
-        a.flush_all();
-        let mut line = [0u8; 64];
-        a.read(4096, &mut line);
-        assert_eq!(&line[..4], b"EDIT");
-        assert!(line[4..].iter().all(|&b| b == 0));
-    }
-
-    #[test]
-    fn absorb_fires_interleave_opportunity() {
-        let mut a = arena();
-        a.set_fail_plan(FailPlan::count());
-        let delta = {
-            let snap = a.snapshot();
-            let mut w = ShardWriter::new(&snap);
-            w.write(8192, b"dom0");
-            w.into_delta()
-        };
-        a.absorb_shard("sweep::interleave", delta);
-        let plan = a.take_fail_plan().expect("plan");
-        assert_eq!(plan.interleavings(), 1);
-        assert!(plan.opportunities() >= plan.interleavings());
-        assert!(plan.labels().iter().any(|(_, l)| *l == "sweep::interleave"));
-    }
-
-    #[test]
-    fn interleave_view_contains_prefix_of_domains() {
-        // Absorbing domains serially must present the oracle with the
-        // crash image of exactly the absorbed prefix: after absorbing
-        // domain 0 the hook's full image holds dom0's bytes but not
-        // dom1's; after absorbing domain 1 it holds both.
-        use std::sync::{Arc, Mutex};
-        let seen: Arc<Mutex<Vec<(bool, bool)>>> = Arc::new(Mutex::new(Vec::new()));
-        let log = seen.clone();
-        let mut a = arena();
-        let deltas: Vec<ShardDelta> = {
-            let snap = a.snapshot();
-            [(8192u64, b"dom0"), (16384u64, b"dom1")]
-                .iter()
-                .map(|&(off, bytes)| {
-                    let mut w = ShardWriter::new(&snap);
-                    w.write(off, bytes);
-                    w.into_delta()
-                })
-                .collect()
-        };
-        a.set_fail_plan(FailPlan::with_hook(Box::new(move |view| {
-            if view.label == Some("sweep::interleave") {
-                let img = view.full_image();
-                log.lock()
-                    .unwrap()
-                    .push((&img[8192..8196] == b"dom0", &img[16384..16388] == b"dom1"));
-            }
-        })));
-        for d in deltas {
-            a.absorb_shard("sweep::interleave", d);
-        }
-        let seen = seen.lock().unwrap();
-        assert_eq!(seen.as_slice(), &[(true, false), (true, true)]);
     }
 
     #[test]

@@ -118,7 +118,6 @@ pub struct FailPlan {
     capture: Option<CrashCapture>,
     hook: Option<FailHook>,
     labels: Vec<(u64, &'static str)>,
-    interleavings: u64,
 }
 
 impl std::fmt::Debug for FailPlan {
@@ -157,16 +156,6 @@ impl FailPlan {
         self.counter
     }
 
-    /// Interleaving opportunities observed so far: crash points injected
-    /// at domain-publication boundaries, where the dirty image presented
-    /// to the oracle is the base cache *plus a deterministic prefix* of
-    /// the per-thread write domains (the thread-choice schedule). Always
-    /// ≤ [`FailPlan::opportunities`]; the crash-sweep drivers assert it
-    /// is non-zero once domain-parallel sweeps run under the plan.
-    pub fn interleavings(&self) -> u64 {
-        self.interleavings
-    }
-
     /// `(opportunity, label)` pairs of the labelled opportunities seen so
     /// far, in order.
     pub fn labels(&self) -> &[(u64, &'static str)] {
@@ -202,22 +191,6 @@ impl FailPlan {
         if let Some(hook) = self.hook.as_mut() {
             hook(&view);
         }
-    }
-
-    /// Like [`FailPlan::observe`], for a *per-thread interleaving*
-    /// opportunity: `dirty` is the base dirty cache merged with the
-    /// overlays of the domains absorbed so far, i.e. the image a crash
-    /// would leave if the scheduler had run exactly that prefix of
-    /// domains before dying. Counted both as a regular opportunity and
-    /// in [`FailPlan::interleavings`].
-    pub(crate) fn observe_interleave(
-        &mut self,
-        label: Option<&'static str>,
-        media: &[u8],
-        dirty: &BTreeMap<u64, [u8; CACHELINE]>,
-    ) {
-        self.interleavings += 1;
-        self.observe(label, media, dirty);
     }
 }
 

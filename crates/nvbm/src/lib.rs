@@ -4,8 +4,7 @@
 //! write is delayed per Table 2 (100 ns read / 150 ns write per cacheline
 //! vs 60/60 ns for DRAM). This crate reproduces that emulator with a
 //! deterministic twist — latencies are charged to a per-device
-//! [`VirtualClock`] instead of burned in spin loops (a [`SpinMode`] helper
-//! exists for wall-clock micro-benchmarks).
+//! [`VirtualClock`] instead of burned in spin loops.
 //!
 //! Beyond timing, the crate models what actually makes persistent-memory
 //! programming hard and what PM-octree is designed to survive:
@@ -37,11 +36,9 @@ pub mod stats;
 // the exporters (`nvbm::obsv::chrome`, …) without a separate dependency.
 pub use pmoctree_obsv as obsv;
 
-pub use alloc::{size_class, AllocLease, PmemAllocator, ReusePolicy};
-pub use arena::{
-    ArenaSnapshot, CrashMode, NvbmArena, POffset, ShardDelta, ShardWriter, HEADER_SIZE, ROOT_SLOTS,
-};
-pub use clock::{SpinMode, VirtualClock};
+pub use alloc::{size_class, PmemAllocator, ReusePolicy};
+pub use arena::{CrashMode, NvbmArena, POffset, HEADER_SIZE, ROOT_SLOTS};
+pub use clock::VirtualClock;
 pub use failplan::{CrashCapture, CrashView, FailHook, FailPlan};
 pub use model::{BlockDeviceModel, DeviceModel, MemLatency, NetworkModel, CACHELINE, PAGE};
 pub use pins::{EpochPins, PinGuard};
@@ -71,11 +68,5 @@ mod send_audit {
         assert_sync::<crate::VirtualClock>();
         assert_send::<crate::Tracer>();
         assert_sync::<crate::Tracer>();
-        // Domain-parallel sweeps: workers share one snapshot and each
-        // sends its finished delta back to the serial join point.
-        assert_sync::<crate::ArenaSnapshot<'static>>();
-        assert_send::<crate::ShardWriter<'static>>();
-        assert_send::<crate::ShardDelta>();
-        assert_send::<crate::AllocLease>();
     }
 }

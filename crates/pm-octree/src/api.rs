@@ -21,9 +21,8 @@ use rand::SeedableRng;
 use crate::c0::{C0Forest, C0Tree};
 use crate::c1::{self, Locate};
 use crate::config::PmConfig;
-use crate::domains;
 use crate::gc::{self, GcReport};
-use crate::octant::{CellData, ChildPtr, OctAccess, Octant, PmStore};
+use crate::octant::{CellData, ChildPtr, Octant, PmStore};
 use crate::replica::ReplicaSet;
 use crate::sampling::{self, FeatureFn};
 
@@ -78,11 +77,10 @@ pub enum PmError {
     /// The tenant is exclusively leased (checked out) by another client;
     /// retry after the lease is released.
     TenantBusy(String),
-    /// The NVBM device (or a write domain's allocator lease) is full. The
-    /// failed mutation left nothing half-linked: COW paths allocate every
-    /// copy before the single publication write, so the pre-mutation
-    /// version stays intact and restorable; orphaned copies are ordinary
-    /// GC garbage.
+    /// The NVBM device is full. The failed mutation left nothing
+    /// half-linked: COW paths allocate every copy before the single
+    /// publication write, so the pre-mutation version stays intact and
+    /// restorable; orphaned copies are ordinary GC garbage.
     Full(String),
 }
 
@@ -484,13 +482,22 @@ impl PmOctree {
                         let data = self.store.data(p);
                         let tree = C0Tree::new(key, data);
                         let id = self.register_c0(tree, p);
-                        self.current_root = c1::replace_slot(
+                        match c1::replace_slot(
                             &mut self.store,
                             self.current_root,
                             key,
                             ChildPtr::Volatile(id),
                             self.epoch,
-                        )?;
+                        ) {
+                            Ok(root) => self.current_root = root,
+                            Err(e) => {
+                                // Nothing links the new subtree: drop it so
+                                // the region stays owned by the NVBM leaf.
+                                self.forest.remove(id);
+                                self.set_shadow(id, POffset::NULL);
+                                return Err(e);
+                            }
+                        }
                         return self.refine(key);
                     }
                     self.current_root =
@@ -589,39 +596,6 @@ impl PmOctree {
             Locate::Volatile(_) => unreachable!("owner_of covers volatile regions"),
             Locate::Missing => Err(PmError::NotFound(format!("{key:?}"))),
         }
-    }
-
-    // ---- domain-parallel batch mutation ----------------------------------
-
-    /// Refine a batch of leaves, sharded across per-subtree write domains
-    /// and executed on the worker pool (see [`crate::domains`]). Returns
-    /// one success flag per key, in input order; a key that is missing,
-    /// not a leaf, or hits a full device reports `false` and leaves the
-    /// tree unchanged at that key. Deterministic: results, media, clock
-    /// and trace are byte-identical for any worker count.
-    pub fn refine_many(&mut self, keys: &[OctKey]) -> Vec<bool> {
-        domains::run_batch(
-            self,
-            &keys.iter().map(|&k| domains::DomainOp::Refine(k)).collect::<Vec<_>>(),
-        )
-    }
-
-    /// Coarsen a batch of octants domain-parallel; same contract as
-    /// [`PmOctree::refine_many`].
-    pub fn coarsen_many(&mut self, keys: &[OctKey]) -> Vec<bool> {
-        domains::run_batch(
-            self,
-            &keys.iter().map(|&k| domains::DomainOp::Coarsen(k)).collect::<Vec<_>>(),
-        )
-    }
-
-    /// Overwrite a batch of leaf payloads domain-parallel; same contract
-    /// as [`PmOctree::refine_many`].
-    pub fn set_data_many(&mut self, ops: &[(OctKey, CellData)]) -> Vec<bool> {
-        domains::run_batch(
-            self,
-            &ops.iter().map(|&(k, d)| domains::DomainOp::SetData(k, d)).collect::<Vec<_>>(),
-        )
     }
 
     // ---- traversal ---------------------------------------------------------
@@ -1188,22 +1162,28 @@ mod tests {
 
     #[test]
     fn crash_recovers_last_persisted_version() {
-        let mut t = PmOctree::create(arena(), small_cfg());
-        t.refine(OctKey::root()).unwrap();
-        t.set_data(OctKey::root().child(1), CellData { phi: 42.0, ..Default::default() }).unwrap();
-        t.persist();
-        let persisted = t.leaves_sorted();
-        // Keep working: these mutations must vanish on crash.
-        t.refine(OctKey::root().child(0)).unwrap();
-        t.set_data(OctKey::root().child(1), CellData { phi: -1.0, ..Default::default() }).unwrap();
-        let mut arena = {
-            let PmOctree { store, .. } = t;
-            store.arena
-        };
-        arena.crash(CrashMode::LoseDirty);
-        let mut r = PmOctree::restore(arena, small_cfg()).unwrap();
-        assert_eq!(r.leaves_sorted(), persisted);
-        assert_eq!(r.get_data(OctKey::root().child(1)).unwrap().phi, 42.0);
+        // With seeding the post-persist refine lands in a C0 subtree;
+        // without it, the refine is copy-on-write in NVBM.
+        for cfg in [small_cfg(), nvbm_only_cfg()] {
+            let mut t = PmOctree::create(arena(), cfg);
+            t.refine(OctKey::root()).unwrap();
+            t.set_data(OctKey::root().child(1), CellData { phi: 42.0, ..Default::default() })
+                .unwrap();
+            t.persist();
+            let persisted = t.leaves_sorted();
+            // Keep working: these mutations must vanish on crash.
+            t.refine(OctKey::root().child(0)).unwrap();
+            t.set_data(OctKey::root().child(1), CellData { phi: -1.0, ..Default::default() })
+                .unwrap();
+            let mut arena = {
+                let PmOctree { store, .. } = t;
+                store.arena
+            };
+            arena.crash(CrashMode::LoseDirty);
+            let mut r = PmOctree::restore(arena, cfg).unwrap();
+            assert_eq!(r.leaves_sorted(), persisted, "seed_c0 {}", cfg.seed_c0);
+            assert_eq!(r.get_data(OctKey::root().child(1)).unwrap().phi, 42.0);
+        }
     }
 
     #[test]
@@ -1318,5 +1298,60 @@ mod tests {
         t.persist();
         let m2 = t.memory_usage_bytes();
         assert_eq!(m1, m2);
+    }
+
+    /// Per-op refines straight into NVBM (no C0 seeding).
+    fn nvbm_only_cfg() -> PmConfig {
+        PmConfig { seed_c0: false, ..small_cfg() }
+    }
+
+    #[test]
+    fn full_device_refines_keep_leaf_count_exact() {
+        // Refine breadth-first on a device too small for the sweep.
+        // Refines start failing with Full; each failure, and a retry of
+        // the same key, must leave the incremental leaf count equal to a
+        // full recount.
+        let mut t =
+            PmOctree::create(NvbmArena::new(96 << 10, DeviceModel::default()), nvbm_only_cfg());
+        let mut frontier = vec![OctKey::root()];
+        let mut full = 0usize;
+        while !frontier.is_empty() {
+            let mut next = Vec::new();
+            for k in frontier.into_iter().filter(|k| k.level() < 5) {
+                let r = match t.refine(k) {
+                    Err(PmError::Full(_)) => {
+                        full += 1;
+                        assert_eq!(t.leaves_sorted().len(), t.leaf_count());
+                        t.refine(k)
+                    }
+                    r => r,
+                };
+                match r {
+                    Ok(()) => next.extend(k.children()),
+                    Err(PmError::Full(_)) => {}
+                    Err(e) => panic!("unexpected refine error at {k:?}: {e}"),
+                }
+                assert_eq!(t.leaves_sorted().len(), t.leaf_count());
+            }
+            frontier = next;
+        }
+        assert!(full > 0, "the device never filled");
+    }
+
+    #[test]
+    fn seeding_that_hits_full_leaves_no_orphan_c0_subtree() {
+        let mut t = PmOctree::create(arena(), small_cfg());
+        t.refine(OctKey::root()).unwrap();
+        t.persist();
+        // Exhaust the device: linking a new C0 subtree must COW the
+        // (now shared) root, and that allocation fails.
+        let filler = Octant::leaf(OctKey::root(), POffset::NULL, 0, CellData::default());
+        while t.store.alloc_octant(&filler).is_ok() {}
+        let k = OctKey::root().child(3);
+        assert!(matches!(t.refine(k), Err(PmError::Full(_))));
+        assert_eq!(t.c0_octants(), 0, "a failed seed must not leave a DRAM subtree behind");
+        assert_eq!(t.is_leaf(k), Some(true));
+        assert!(t.refine(k).is_err());
+        assert_eq!(t.leaves_sorted().len(), t.leaf_count());
     }
 }

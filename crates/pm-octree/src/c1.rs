@@ -24,16 +24,13 @@
 //! Every mutation entry point is fallible: allocation exhaustion surfaces
 //! as [`PmError::Full`] *before* any publication write, so the
 //! pre-mutation version stays reachable and the partially-allocated
-//! copies are unreachable garbage for GC. The functions are generic over
-//! [`OctAccess`] so the same COW logic runs against the serial
-//! [`PmStore`] and against per-domain `ShardStore`s during
-//! domain-parallel sweeps.
+//! copies are unreachable garbage for GC.
 
 use pmoctree_morton::OctKey;
 use pmoctree_nvbm::POffset;
 
 use crate::api::PmError;
-use crate::octant::{CellData, ChildPtr, OctAccess, Octant, PmStore, FANOUT};
+use crate::octant::{CellData, ChildPtr, Octant, PmStore, FANOUT};
 
 /// Outcome of a root-descent for `key`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,7 +46,7 @@ pub enum Locate {
 
 /// Walk from `root` towards `key`; stop at the octant, a volatile handle,
 /// or a missing link.
-pub fn locate<S: OctAccess>(store: &mut S, root: POffset, key: OctKey) -> Locate {
+pub fn locate(store: &mut PmStore, root: POffset, key: OctKey) -> Locate {
     debug_assert!(!root.is_null());
     let root_key = store.key(root);
     if !root_key.contains(&key) {
@@ -75,8 +72,8 @@ pub fn locate<S: OctAccess>(store: &mut S, root: POffset, key: OctKey) -> Locate
 /// `key` must exist as an NVBM octant under `root`. On [`PmError::Full`]
 /// no link has been published: copies allocated so far are unreachable
 /// and the caller's tree is unchanged.
-pub fn cow_path<S: OctAccess>(
-    store: &mut S,
+pub fn cow_path(
+    store: &mut PmStore,
     root: POffset,
     key: OctKey,
     epoch: u32,
@@ -136,12 +133,7 @@ pub fn cow_path<S: OctAccess>(
 
 /// Re-locate `key` (must exist, as NVBM) under `root`. `_lvl` documents
 /// intent; descent is by key.
-fn deepest<S: OctAccess>(
-    store: &mut S,
-    root: POffset,
-    key: OctKey,
-    _lvl: u8,
-) -> Result<POffset, PmError> {
+fn deepest(store: &mut PmStore, root: POffset, key: OctKey, _lvl: u8) -> Result<POffset, PmError> {
     match locate(store, root, key) {
         Locate::Nvbm(p) => Ok(p),
         other => Err(PmError::Corrupt(format!("octant vanished during COW: {other:?}"))),
@@ -153,8 +145,8 @@ fn deepest<S: OctAccess>(
 ///
 /// All eight children are allocated before the single bulk link write,
 /// so a [`PmError::Full`] mid-way leaves the leaf a leaf.
-pub fn refine<S: OctAccess>(
-    store: &mut S,
+pub fn refine(
+    store: &mut PmStore,
     root: POffset,
     key: OctKey,
     epoch: u32,
@@ -178,8 +170,8 @@ pub fn refine<S: OctAccess>(
 /// Coarsen the NVBM octant at `key`: unlink its children (which must all
 /// be NVBM leaves), making it a leaf. Shared children are left untouched
 /// for `V_{i-1}`; exclusive children are flagged deleted for GC.
-pub fn coarsen<S: OctAccess>(
-    store: &mut S,
+pub fn coarsen(
+    store: &mut PmStore,
     root: POffset,
     key: OctKey,
     epoch: u32,
@@ -229,8 +221,8 @@ pub fn coarsen<S: OctAccess>(
 
 /// Update the payload of the NVBM octant at `key` (copy-on-write if
 /// shared). Returns the possibly-new root.
-pub fn update_data<S: OctAccess>(
-    store: &mut S,
+pub fn update_data(
+    store: &mut PmStore,
     root: POffset,
     key: OctKey,
     data: &CellData,
@@ -244,8 +236,8 @@ pub fn update_data<S: OctAccess>(
 /// Replace the child slot that holds `key`'s position under `root` with
 /// `ptr` (used to attach merged subtrees and volatile handles). `key`
 /// must not be the root itself. Returns the possibly-new root.
-pub fn replace_slot<S: OctAccess>(
-    store: &mut S,
+pub fn replace_slot(
+    store: &mut PmStore,
     root: POffset,
     key: OctKey,
     ptr: ChildPtr,

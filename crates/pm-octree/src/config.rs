@@ -38,13 +38,6 @@ pub struct PmConfig {
     /// LIFO, spreading writes across the device ("extend the lifetime of
     /// NVBM", §5.5; Table 2 endurance).
     pub wear_leveling: bool,
-    /// Tree level at which batched mutations shard into concurrent write
-    /// domains: every octant key at or below this level belongs to the
-    /// domain of its level-`domain_level` ancestor (so `1` gives up to 8
-    /// domains, `2` up to 64). Batches always shard — for any worker
-    /// count — so results are byte-identical whether 1 or N workers
-    /// execute the domains.
-    pub domain_level: u8,
 }
 
 impl Default for PmConfig {
@@ -59,7 +52,6 @@ impl Default for PmConfig {
             seed_c0: true,
             replicas: false,
             wear_leveling: false,
-            domain_level: 1,
         }
     }
 }
@@ -154,12 +146,6 @@ impl PmConfigBuilder {
         self
     }
 
-    /// Write-domain sharding level for batched mutations (≤ 5).
-    pub fn domain_level(mut self, level: u8) -> Self {
-        self.cfg.domain_level = level;
-        self
-    }
-
     /// Validate and produce the config. Violations come back as
     /// [`PmError::Recovery`](crate::PmError::Recovery) naming the field.
     pub fn build(self) -> Result<PmConfig, crate::api::PmError> {
@@ -188,12 +174,6 @@ impl PmConfigBuilder {
             return Err(PmError::Recovery(format!(
                 "t_transform {} must exceed 1 (a ratio at which a swap pays off)",
                 c.t_transform
-            )));
-        }
-        if c.domain_level > 5 {
-            return Err(PmError::Recovery(format!(
-                "domain_level {} too deep (8^level domains; 5 is already 32768)",
-                c.domain_level
             )));
         }
         Ok(c)
@@ -254,7 +234,6 @@ mod tests {
             PmConfig::builder().n_sample(0).build(),
             PmConfig::builder().t_transform(1.0).build(),
             PmConfig::builder().threshold_dram(f64::NAN).build(),
-            PmConfig::builder().domain_level(6).build(),
         ];
         for b in bad {
             assert!(matches!(b, Err(PmError::Recovery(_))), "{b:?}");

@@ -14,7 +14,7 @@ use std::collections::HashSet;
 
 use pmoctree_nvbm::{POffset, PmemAllocator};
 
-use crate::octant::{ChildPtr, OctAccess, PmStore, OCTANT_SIZE};
+use crate::octant::{ChildPtr, PmStore, OCTANT_SIZE};
 
 /// Result of a collection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

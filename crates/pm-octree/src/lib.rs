@@ -49,7 +49,6 @@ pub mod api;
 pub mod c0;
 pub mod c1;
 pub mod config;
-pub mod domains;
 pub mod gc;
 pub mod octant;
 pub mod replica;
@@ -59,9 +58,8 @@ pub mod verify;
 
 pub use api::{Events, PersistHook, PersistPhase, PmError, PmOctree};
 pub use config::{PmConfig, PmConfigBuilder};
-pub use domains::DomainOp;
 pub use gc::GcReport;
-pub use octant::{CellData, ChildPtr, OctAccess, Octant, PmStore, ShardStore, FANOUT, OCTANT_SIZE};
+pub use octant::{CellData, ChildPtr, Octant, PmStore, FANOUT, OCTANT_SIZE};
 pub use replica::ReplicaSet;
 pub use sampling::FeatureFn;
 pub use verify::{check_invariants, scan_tree, RecoveryReport, TreeScan};

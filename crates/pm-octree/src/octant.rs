@@ -35,7 +35,7 @@
 
 use crate::api::PmError;
 use pmoctree_morton::OctKey;
-use pmoctree_nvbm::{AllocLease, ArenaSnapshot, NvbmArena, POffset, PmemAllocator, ShardWriter};
+use pmoctree_nvbm::{NvbmArena, POffset, PmemAllocator};
 
 /// Size of one on-media octant record.
 pub const OCTANT_SIZE: usize = 128;
@@ -97,7 +97,7 @@ impl ChildPtr {
     /// encodings instead of silently truncating them: a link wider than
     /// 6 bytes, or a volatile handle carrying garbage in bits 32..47, is
     /// a corrupted record, not a pointer. This is the checked entry point
-    /// recovery scans use ([`OctAccess::nav_line_checked`]); the hot path
+    /// recovery scans use ([`PmStore::nav_line_checked`]); the hot path
     /// goes through [`ChildPtr::decode`], which asserts instead.
     #[inline]
     pub fn try_decode(raw: u64) -> Result<Self, PmError> {
@@ -255,18 +255,10 @@ impl PmStore {
     pub fn free_octant(&mut self, p: POffset) {
         self.alloc.free(p, OCTANT_SIZE);
     }
-}
 
-impl OctAccess for PmStore {
-    fn io_read(&mut self, offset: u64, buf: &mut [u8]) {
-        self.arena.read(offset, buf);
-    }
-
-    fn io_write(&mut self, offset: u64, data: &[u8]) {
-        self.arena.write(offset, data);
-    }
-
-    fn alloc_block(&mut self) -> Result<POffset, PmError> {
+    /// Allocate and write a new octant; returns its offset, or
+    /// [`PmError::Full`] with nothing mutated when space is exhausted.
+    pub fn alloc_octant(&mut self, o: &Octant) -> Result<POffset, PmError> {
         self.alloc.set_limit(self.arena.live_rt_floor());
         let p = self
             .alloc
@@ -274,40 +266,12 @@ impl OctAccess for PmStore {
             .ok_or_else(|| PmError::Full("NVBM arena full allocating an octant".into()))?;
         self.arena.publish_bump(self.alloc.bump());
         self.registry.push(p);
-        Ok(p)
-    }
-}
-
-/// Octant-granular access over any device view that can read bytes,
-/// write bytes, and allocate 128-byte records.
-///
-/// [`PmStore`] implements it over the live arena (the single-writer
-/// path); [`ShardStore`] implements it over a snapshot plus a private
-/// overlay and allocator lease (one write domain of a domain-parallel
-/// sweep). The COW mutation code in `c1` is generic over this trait, so
-/// the exact same path-copy discipline runs serially or sharded.
-pub trait OctAccess {
-    /// Read `buf.len()` bytes at `offset` from this view of the device.
-    fn io_read(&mut self, offset: u64, buf: &mut [u8]);
-
-    /// Write `data` at `offset` into this view of the device.
-    fn io_write(&mut self, offset: u64, data: &[u8]);
-
-    /// Allocate one cacheline-aligned [`OCTANT_SIZE`] record.
-    /// [`PmError::Full`] when the device (or this domain's lease) is
-    /// exhausted.
-    fn alloc_block(&mut self) -> Result<POffset, PmError>;
-
-    /// Allocate and write a new octant; returns its offset, or
-    /// [`PmError::Full`] with nothing mutated when space is exhausted.
-    fn alloc_octant(&mut self, o: &Octant) -> Result<POffset, PmError> {
-        let p = self.alloc_block()?;
         self.write_octant(p, o);
         Ok(p)
     }
 
     /// Write a complete octant record.
-    fn write_octant(&mut self, p: POffset, o: &Octant) {
+    pub fn write_octant(&mut self, p: POffset, o: &Octant) {
         let mut buf = [0u8; OCTANT_SIZE];
         let mut mask = 0u8;
         for (i, c) in o.children.iter().enumerate() {
@@ -324,13 +288,13 @@ pub trait OctAccess {
         buf[OFF_PARENT as usize..OFF_PARENT as usize + 8]
             .copy_from_slice(&o.parent.0.to_le_bytes());
         buf[OFF_DATA as usize..OFF_DATA as usize + 32].copy_from_slice(&o.data.to_bytes());
-        self.io_write(p.0, &buf);
+        self.arena.write(p.0, &buf);
     }
 
     /// Read a complete octant record.
-    fn read_octant(&mut self, p: POffset) -> Octant {
+    pub fn read_octant(&mut self, p: POffset) -> Octant {
         let mut buf = [0u8; OCTANT_SIZE];
-        self.io_read(p.0, &mut buf);
+        self.arena.read(p.0, &mut buf);
         let mut children = [ChildPtr::Null; FANOUT];
         for (i, c) in children.iter_mut().enumerate() {
             *c = ChildPtr::decode(get_link(&buf, i));
@@ -363,10 +327,10 @@ pub trait OctAccess {
 
     /// Read one child pointer (touches only the navigation line).
     #[inline]
-    fn child(&mut self, p: POffset, i: usize) -> ChildPtr {
+    pub fn child(&mut self, p: POffset, i: usize) -> ChildPtr {
         debug_assert!(i < FANOUT);
         let mut b = [0u8; 6];
-        self.io_read(p.0 + OFF_LINKS + LINK_SIZE * i as u64, &mut b);
+        self.arena.read(p.0 + OFF_LINKS + LINK_SIZE * i as u64, &mut b);
         ChildPtr::decode(get_link(&b, 0))
     }
 
@@ -374,9 +338,9 @@ pub trait OctAccess {
     /// compact links span 48 bytes of the navigation line, so traversals
     /// pay one read per visited octant, not eight.
     #[inline]
-    fn children(&mut self, p: POffset) -> [ChildPtr; FANOUT] {
+    pub fn children(&mut self, p: POffset) -> [ChildPtr; FANOUT] {
         let mut buf = [0u8; 48];
-        self.io_read(p.0 + OFF_LINKS, &mut buf);
+        self.arena.read(p.0 + OFF_LINKS, &mut buf);
         let mut out = [ChildPtr::Null; FANOUT];
         for (i, c) in out.iter_mut().enumerate() {
             *c = ChildPtr::decode(get_link(&buf, i));
@@ -387,21 +351,21 @@ pub trait OctAccess {
     /// Write one child pointer, keeping the presence mask coherent (one
     /// mask read-modify-write; all traffic stays on the navigation line).
     #[inline]
-    fn set_child(&mut self, p: POffset, i: usize, c: ChildPtr) {
+    pub fn set_child(&mut self, p: POffset, i: usize, c: ChildPtr) {
         debug_assert!(i < FANOUT);
         let raw = c.encode();
-        self.io_write(p.0 + OFF_LINKS + LINK_SIZE * i as u64, &raw.to_le_bytes()[..6]);
+        self.arena.write(p.0 + OFF_LINKS + LINK_SIZE * i as u64, &raw.to_le_bytes()[..6]);
         let mut m = [0u8; 1];
-        self.io_read(p.0 + OFF_MASK, &mut m);
+        self.arena.read(p.0 + OFF_MASK, &mut m);
         let nm = if c.is_null() { m[0] & !(1 << i) } else { m[0] | (1 << i) };
-        self.io_write(p.0 + OFF_MASK, &[nm]);
+        self.arena.write(p.0 + OFF_MASK, &[nm]);
     }
 
     /// Replace all 8 child pointers and the presence mask in two writes
     /// to the navigation line — the bulk form refine/coarsen use instead
     /// of eight `set_child` read-modify-writes.
     #[inline]
-    fn set_children(&mut self, p: POffset, cs: &[ChildPtr; FANOUT]) {
+    pub fn set_children(&mut self, p: POffset, cs: &[ChildPtr; FANOUT]) {
         let mut buf = [0u8; 48];
         let mut mask = 0u8;
         for (i, c) in cs.iter().enumerate() {
@@ -410,43 +374,43 @@ pub trait OctAccess {
                 mask |= 1 << i;
             }
         }
-        self.io_write(p.0 + OFF_LINKS, &buf);
-        self.io_write(p.0 + OFF_MASK, &[mask]);
+        self.arena.write(p.0 + OFF_LINKS, &buf);
+        self.arena.write(p.0 + OFF_MASK, &[mask]);
     }
 
     /// Read the child-presence mask: bit `i` set iff `children[i]` is
     /// non-null. One single-byte read on the navigation line — the leaf
     /// test descents use instead of probing eight slots.
     #[inline]
-    fn child_mask(&mut self, p: POffset) -> u8 {
+    pub fn child_mask(&mut self, p: POffset) -> u8 {
         let mut m = [0u8; 1];
-        self.io_read(p.0 + OFF_MASK, &mut m);
+        self.arena.read(p.0 + OFF_MASK, &mut m);
         m[0]
     }
 
     /// Is the octant at `p` a leaf (no children)? Charges one line.
     #[inline]
-    fn is_leaf_octant(&mut self, p: POffset) -> bool {
+    pub fn is_leaf_octant(&mut self, p: POffset) -> bool {
         self.child_mask(p) == 0
     }
 
     /// Read the parent offset.
     #[inline]
-    fn parent(&mut self, p: POffset) -> POffset {
+    pub fn parent(&mut self, p: POffset) -> POffset {
         let mut b = [0u8; 8];
-        self.io_read(p.0 + OFF_PARENT, &mut b);
+        self.arena.read(p.0 + OFF_PARENT, &mut b);
         POffset(u64::from_le_bytes(b))
     }
 
     /// Write the parent offset.
     #[inline]
-    fn set_parent(&mut self, p: POffset, parent: POffset) {
-        self.io_write(p.0 + OFF_PARENT, &parent.0.to_le_bytes());
+    pub fn set_parent(&mut self, p: POffset, parent: POffset) {
+        self.arena.write(p.0 + OFF_PARENT, &parent.0.to_le_bytes());
     }
 
     /// Read the locational code.
     #[inline]
-    fn key(&mut self, p: POffset) -> OctKey {
+    pub fn key(&mut self, p: POffset) -> OctKey {
         let (code, level) = self.raw_key(p);
         OctKey::from_raw(code, level)
     }
@@ -457,9 +421,9 @@ pub trait OctAccess {
     /// and level are adjacent on the navigation line, so this is one
     /// 9-byte, single-line read.
     #[inline]
-    fn raw_key(&mut self, p: POffset) -> (u64, u8) {
+    pub fn raw_key(&mut self, p: POffset) -> (u64, u8) {
         let mut b = [0u8; 9];
-        self.io_read(p.0 + OFF_CODE, &mut b);
+        self.arena.read(p.0 + OFF_CODE, &mut b);
         (u64::from_le_bytes(b[..8].try_into().expect("8 bytes")), b[8])
     }
 
@@ -468,9 +432,9 @@ pub trait OctAccess {
     /// traversals that need several hot fields of the same octant use
     /// this to charge exactly one line instead of one per field.
     #[inline]
-    fn nav_line(&mut self, p: POffset) -> NavLine {
+    pub fn nav_line(&mut self, p: POffset) -> NavLine {
         let mut buf = [0u8; 64];
-        self.io_read(p.0, &mut buf);
+        self.arena.read(p.0, &mut buf);
         let mut children = [ChildPtr::Null; FANOUT];
         for (i, c) in children.iter_mut().enumerate() {
             *c = ChildPtr::decode(get_link(&buf, i));
@@ -478,14 +442,14 @@ pub trait OctAccess {
         decode_nav_tail(&buf, children)
     }
 
-    /// [`OctAccess::nav_line`] with checked link decoding: a corrupted
+    /// [`PmStore::nav_line`] with checked link decoding: a corrupted
     /// child link surfaces as [`PmError::Corrupt`] instead of a panic.
     /// Recovery validation and `verify` scans use this — they run over
     /// media that a crash (or a poison test) may have mangled, and must
     /// report, not abort.
-    fn nav_line_checked(&mut self, p: POffset) -> Result<NavLine, PmError> {
+    pub fn nav_line_checked(&mut self, p: POffset) -> Result<NavLine, PmError> {
         let mut buf = [0u8; 64];
-        self.io_read(p.0, &mut buf);
+        self.arena.read(p.0, &mut buf);
         let mut children = [ChildPtr::Null; FANOUT];
         for (i, c) in children.iter_mut().enumerate() {
             *c = ChildPtr::try_decode(get_link(&buf, i))
@@ -496,41 +460,41 @@ pub trait OctAccess {
 
     /// Read the deleted flag.
     #[inline]
-    fn is_deleted(&mut self, p: POffset) -> bool {
+    pub fn is_deleted(&mut self, p: POffset) -> bool {
         let mut f = [0u8; 1];
-        self.io_read(p.0 + OFF_FLAGS, &mut f);
+        self.arena.read(p.0 + OFF_FLAGS, &mut f);
         f[0] & FLAG_DELETED != 0
     }
 
     /// Set or clear the deleted flag.
     #[inline]
-    fn set_deleted(&mut self, p: POffset, deleted: bool) {
+    pub fn set_deleted(&mut self, p: POffset, deleted: bool) {
         let mut f = [0u8; 1];
-        self.io_read(p.0 + OFF_FLAGS, &mut f);
+        self.arena.read(p.0 + OFF_FLAGS, &mut f);
         let nf = if deleted { f[0] | FLAG_DELETED } else { f[0] & !FLAG_DELETED };
-        self.io_write(p.0 + OFF_FLAGS, &[nf]);
+        self.arena.write(p.0 + OFF_FLAGS, &[nf]);
     }
 
     /// Read the creation epoch.
     #[inline]
-    fn epoch_of(&mut self, p: POffset) -> u32 {
+    pub fn epoch_of(&mut self, p: POffset) -> u32 {
         let mut b = [0u8; 4];
-        self.io_read(p.0 + OFF_EPOCH, &mut b);
+        self.arena.read(p.0 + OFF_EPOCH, &mut b);
         u32::from_le_bytes(b)
     }
 
     /// Read the payload.
     #[inline]
-    fn data(&mut self, p: POffset) -> CellData {
+    pub fn data(&mut self, p: POffset) -> CellData {
         let mut b = [0u8; 32];
-        self.io_read(p.0 + OFF_DATA, &mut b);
+        self.arena.read(p.0 + OFF_DATA, &mut b);
         CellData::from_bytes(&b)
     }
 
     /// Write the payload.
     #[inline]
-    fn set_data(&mut self, p: POffset, d: &CellData) {
-        self.io_write(p.0 + OFF_DATA, &d.to_bytes());
+    pub fn set_data(&mut self, p: POffset, d: &CellData) {
+        self.arena.write(p.0 + OFF_DATA, &d.to_bytes());
     }
 }
 
@@ -547,55 +511,6 @@ fn decode_nav_tail(buf: &[u8; 64], children: [ChildPtr; FANOUT]) -> NavLine {
         epoch: u32::from_le_bytes(
             buf[OFF_EPOCH as usize..OFF_EPOCH as usize + 4].try_into().expect("4"),
         ),
-    }
-}
-
-/// One write domain's octant store during a domain-parallel sweep: reads
-/// fall through a private overlay to the shared fork-point
-/// [`ArenaSnapshot`]; writes buffer into the overlay; allocations walk a
-/// pre-carved [`AllocLease`], so concurrent domains never contend for the
-/// allocator or interleave lines. Everything it produces — the dirty
-/// overlay, the consumed lease prefix, newly allocated offsets — is
-/// handed back at the serial join point via [`ShardStore::into_parts`].
-pub struct ShardStore<'a> {
-    w: ShardWriter<'a>,
-    lease: AllocLease,
-    registry: Vec<POffset>,
-}
-
-impl<'a> ShardStore<'a> {
-    /// A store for one domain over the sweep's fork-point snapshot and
-    /// the domain's allocator lease.
-    pub fn new(snap: &'a ArenaSnapshot<'a>, lease: AllocLease) -> Self {
-        ShardStore { w: ShardWriter::new(snap), lease, registry: Vec::new() }
-    }
-
-    /// Finish the domain: the buffered device delta (for
-    /// [`NvbmArena::absorb_shard`]), the lease with its cursor advanced
-    /// past the consumed prefix (release the tail back to the
-    /// allocator), and the offsets allocated by this domain (append to
-    /// the live registry in domain order).
-    pub fn into_parts(self) -> (pmoctree_nvbm::ShardDelta, AllocLease, Vec<POffset>) {
-        (self.w.into_delta(), self.lease, self.registry)
-    }
-}
-
-impl OctAccess for ShardStore<'_> {
-    fn io_read(&mut self, offset: u64, buf: &mut [u8]) {
-        self.w.read(offset, buf);
-    }
-
-    fn io_write(&mut self, offset: u64, data: &[u8]) {
-        self.w.write(offset, data);
-    }
-
-    fn alloc_block(&mut self) -> Result<POffset, PmError> {
-        let p = self
-            .lease
-            .alloc()
-            .ok_or_else(|| PmError::Full("write-domain lease exhausted".into()))?;
-        self.registry.push(p);
-        Ok(p)
     }
 }
 
@@ -752,48 +667,6 @@ mod tests {
         match s.nav_line_checked(p) {
             Err(PmError::Corrupt(m)) => assert!(m.contains("child 0"), "{m}"),
             other => panic!("expected Corrupt, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn shard_store_is_invisible_until_absorbed() {
-        let mut s = store();
-        let root = s
-            .alloc_octant(&Octant::leaf(OctKey::root(), POffset::NULL, 0, CellData::default()))
-            .unwrap();
-        s.alloc.set_limit(s.arena.live_rt_floor());
-        let lease = s.alloc.carve_lease(4, OCTANT_SIZE).unwrap();
-        let (delta, lease, regs) = {
-            let snap = s.arena.snapshot();
-            let mut shard = ShardStore::new(&snap, lease);
-            assert_eq!(shard.key(root), OctKey::root(), "shard reads the snapshot");
-            let c = shard
-                .alloc_octant(&Octant::leaf(OctKey::root().child(2), root, 1, CellData::default()))
-                .unwrap();
-            shard.set_child(root, 2, ChildPtr::Nvbm(c));
-            shard.into_parts()
-        };
-        assert_eq!(regs, vec![POffset(lease.start())]);
-        assert!(s.is_leaf_octant(root), "buffered shard writes are invisible");
-        s.arena.absorb_shard("sweep::interleave", delta);
-        s.alloc.release_lease(lease, lease.cursor());
-        s.registry.extend(regs);
-        assert_eq!(s.child(root, 2), ChildPtr::Nvbm(POffset(lease.start())));
-        assert_eq!(s.key(POffset(lease.start())), OctKey::root().child(2));
-    }
-
-    #[test]
-    fn shard_lease_exhaustion_is_full_not_panic() {
-        let mut s = store();
-        s.alloc.set_limit(s.arena.live_rt_floor());
-        let lease = s.alloc.carve_lease(1, OCTANT_SIZE).unwrap();
-        let snap = s.arena.snapshot();
-        let mut shard = ShardStore::new(&snap, lease);
-        let o = Octant::leaf(OctKey::root(), POffset::NULL, 0, CellData::default());
-        assert!(shard.alloc_octant(&o).is_ok());
-        match shard.alloc_octant(&o) {
-            Err(PmError::Full(_)) => {}
-            other => panic!("expected Full, got {other:?}"),
         }
     }
 

@@ -12,7 +12,7 @@ use pmoctree_nvbm::POffset;
 use rand::Rng;
 
 use crate::c0::C0Tree;
-use crate::octant::{CellData, ChildPtr, OctAccess, PmStore, FANOUT};
+use crate::octant::{CellData, ChildPtr, PmStore, FANOUT};
 
 /// An application feature function: returns `true` when the octant's
 /// domain is of interest (e.g. the refinement condition holds there).

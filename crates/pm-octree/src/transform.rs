@@ -15,7 +15,7 @@ use pmoctree_nvbm::POffset;
 use crate::api::PmOctree;
 use crate::c0::C0Tree;
 use crate::c1::{self};
-use crate::octant::{ChildPtr, OctAccess};
+use crate::octant::ChildPtr;
 use crate::sampling;
 
 impl PmOctree {

@@ -1147,7 +1147,7 @@ mod tests {
 
     #[test]
     fn octree_bump_cannot_cross_committed_rt_blobs() {
-        use pm_octree::{CellData, OctAccess, Octant, PmConfig, PmOctree, OCTANT_SIZE};
+        use pm_octree::{CellData, Octant, PmConfig, PmOctree, OCTANT_SIZE};
         use pmoctree_morton::OctKey;
 
         // A tight shared device: the octree must report full at the
